@@ -8,30 +8,49 @@
 //! fill, every pooled buffer grow to the longest handler it will carry,
 //! and the hypervisor's scratch vectors reach their high-water marks;
 //! after that, every handler entry must be served from recycled buffers.
+//!
+//! The counter is thread-local: each test reads only the allocations of
+//! the thread it runs on, so tests running in parallel in this binary
+//! never leak into one another's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use nlh_campaign::{build_system, BenchKind, SetupKind};
 use nlh_hv::MachineConfig;
-use nlh_sim::SimDuration;
+use nlh_sim::{SimDuration, SimTime};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init with a `Drop`-free payload: reading or bumping it never
+    // allocates, so the allocator can use it without recursion.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+fn count_one() {
+    // `try_with` so allocations during thread teardown are simply not
+    // counted instead of panicking.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no effect on allocation behaviour.
+// thread-local cell with no effect on allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,10 +79,10 @@ fn steady_state_stepping_allocates_nothing() {
     run_steps(&mut hv, 500_000);
 
     let before_steps = hv.steps_executed();
-    let before_allocs = ALLOCS.load(Ordering::Relaxed);
+    let before_allocs = thread_allocs();
     run_steps(&mut hv, 300_000);
     let steps = hv.steps_executed() - before_steps;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before_allocs;
+    let allocs = thread_allocs() - before_allocs;
 
     assert!(
         steps >= 300_000,
@@ -72,6 +91,42 @@ fn steady_state_stepping_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state stepping must not allocate: {allocs} allocations \
+         over {steps} steps"
+    );
+}
+
+#[test]
+fn busy_phase_window_allocates_nothing() {
+    // The busy phase campaigns inject in: 1AppVM UnixBench from 1 s to
+    // 9 s (10–90% of the run). Unlike the post-benchmark tail, it is full
+    // of pin, unpin and balloon hypercalls, so binding — the unpinned-page
+    // filter and its page-table-sized marks — runs thousands of times
+    // against a pinned list that drifts with the workload. Campaign
+    // trials step a boot-cache clone of the booted template, and a clone
+    // keeps no spare capacity, so the window is measured on one.
+    let (template, _layout) = build_system(
+        MachineConfig::small(),
+        SetupKind::OneAppVm(BenchKind::UnixBench),
+        2018,
+    );
+    let mut hv = template.clone();
+    hv.run_until(SimTime::from_secs(1));
+    assert!(hv.detection().is_none(), "healthy run must not detect");
+
+    let before_steps = hv.steps_executed();
+    let before_allocs = thread_allocs();
+    hv.run_until(SimTime::from_secs(9));
+    let steps = hv.steps_executed() - before_steps;
+    let allocs = thread_allocs() - before_allocs;
+
+    assert!(hv.detection().is_none(), "healthy run must not detect");
+    assert!(
+        steps >= 200_000,
+        "workload actually stepped ({steps} steps)"
+    );
+    assert_eq!(
+        allocs, 0,
+        "busy-phase stepping must not allocate: {allocs} allocations \
          over {steps} steps"
     );
 }
@@ -86,11 +141,11 @@ fn virtio_datapath_steady_state_allocates_nothing() {
 
     let before_steps = hv.steps_executed();
     let before_frames = hv.virtio.forwarded;
-    let before_allocs = ALLOCS.load(Ordering::Relaxed);
+    let before_allocs = thread_allocs();
     run_steps(&mut hv, 300_000);
     let steps = hv.steps_executed() - before_steps;
     let frames = hv.virtio.forwarded - before_frames;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before_allocs;
+    let allocs = thread_allocs() - before_allocs;
 
     assert!(
         frames > 0,
@@ -123,11 +178,11 @@ fn overcommit_datapath_steady_state_allocates_nothing() {
 
     let before_steps = hv.steps_executed();
     let before_gen = hv.sched.mutation_generation();
-    let before_allocs = ALLOCS.load(Ordering::Relaxed);
+    let before_allocs = thread_allocs();
     run_steps(&mut hv, 300_000);
     let steps = hv.steps_executed() - before_steps;
     let switches = hv.sched.mutation_generation() - before_gen;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before_allocs;
+    let allocs = thread_allocs() - before_allocs;
 
     assert!(
         hv.sched.credit_mode(),
@@ -161,13 +216,13 @@ fn counting_window_steady_state_allocates_nothing() {
     run_steps(&mut hv, 500_000);
 
     let before_steps = hv.steps_executed();
-    let before_allocs = ALLOCS.load(Ordering::Relaxed);
+    let before_allocs = thread_allocs();
     while hv.steps_executed() - before_steps < 300_000 {
         assert!(hv.detection().is_none(), "healthy run must not detect");
         hv.run_counting(hv.now() + SimDuration::from_millis(50), u64::MAX, None, 0);
     }
     let steps = hv.steps_executed() - before_steps;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before_allocs;
+    let allocs = thread_allocs() - before_allocs;
 
     assert_eq!(
         allocs, 0,
@@ -186,9 +241,9 @@ fn pooling_off_reproduces_the_old_allocation_behaviour() {
     hv.pooling = false;
     run_steps(&mut hv, 500_000);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     run_steps(&mut hv, 300_000);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = thread_allocs() - before;
     assert!(
         allocs > 0,
         "with pooling disabled every handler entry allocates a fresh \

@@ -20,7 +20,12 @@ use nlh_campaign::{
     BootCache, SetupKind, TrialConfig,
 };
 use nlh_core::{Enhancements, Microreboot, Microreset, RecoveryMechanism};
+use nlh_hv::domain::{GuestNotice, GuestOp, GuestProgram, WorkloadVerdict};
+use nlh_hv::hypercalls::HcRequest;
+use nlh_hv::interrupts::VEC_NET;
+use nlh_hv::{CpuId, MachineConfig};
 use nlh_inject::FaultType;
+use nlh_sim::{Pcg64, SimTime};
 use proptest::prelude::*;
 
 fn setups() -> impl Strategy<Value = SetupKind> {
@@ -179,4 +184,108 @@ proptest! {
         prop_assert_eq!(fast.now_max(), slow.now_max());
         prop_assert_eq!(fast.trace.dump(), slow.trace.dump());
     }
+}
+
+/// Wraps a domain's workload so it rewrites the net vector's I/O APIC
+/// route at set times (a dom0 `physdev` op), passing everything else
+/// through — the hypercall's own completion notice is swallowed, so the
+/// wrapped workload never sees a request it did not make.
+#[derive(Debug, Clone)]
+struct Rerouting {
+    inner: Box<dyn GuestProgram>,
+    /// Pending reroutes, earliest first.
+    routes: Vec<(SimTime, CpuId)>,
+    awaiting: bool,
+}
+
+impl GuestProgram for Rerouting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn next_op(&mut self, now: SimTime, rng: &mut Pcg64) -> GuestOp {
+        if let Some(&(at, cpu)) = self.routes.first() {
+            if now >= at {
+                self.routes.remove(0);
+                self.awaiting = true;
+                return GuestOp::Hypercall(HcRequest::PhysdevRoute(VEC_NET, cpu));
+            }
+        }
+        self.inner.next_op(now, rng)
+    }
+    fn notice(&mut self, now: SimTime, notice: GuestNotice) {
+        if self.awaiting && matches!(notice, GuestNotice::HypercallDone { .. }) {
+            self.awaiting = false;
+            return;
+        }
+        self.inner.notice(now, notice);
+    }
+    fn verdict(&self, now: SimTime, deadline: SimTime) -> WorkloadVerdict {
+        self.inner.verdict(now, deadline)
+    }
+    fn clone_box(&self) -> Box<dyn GuestProgram> {
+        Box::new(self.clone())
+    }
+}
+
+/// `Hypervisor::run_until` (per-CPU check horizons, fused runs, idle
+/// fast-forward) against `run_until_unbatched` (every step fully checked)
+/// on 3AppVM inside the campaigns' verdict window, with NetBench's packet
+/// stream routed and the route rewritten mid-window: dom0 moves the net
+/// vector to the idle CPU 3, then to UnixBench's CPU 1, then back to
+/// NetBench's CPU 2. Each rewrite is a micro-op inside a batched run (the
+/// `horizon_dirty` case): a packet time that was irrelevant to the new
+/// CPU's horizon becomes its next check. Digests and step counts must
+/// agree at every checkpoint.
+#[test]
+fn per_cpu_horizons_match_reference_across_net_reroutes() {
+    let (mut hv, _) = build_system(MachineConfig::small(), SetupKind::ThreeAppVm, 2018);
+    hv.run_until(SimTime::from_secs(6));
+    let dom0 = &mut hv.domains[0];
+    let inner = dom0.program.take().expect("dom0 runs the PrivVM driver");
+    dom0.program = Some(Box::new(Rerouting {
+        inner,
+        routes: vec![
+            (SimTime::from_millis(6_150), CpuId(3)),
+            (SimTime::from_millis(6_450), CpuId(1)),
+            (SimTime::from_millis(6_750), CpuId(2)),
+        ],
+        awaiting: false,
+    }));
+    let mut batched = hv.clone();
+    let mut reference = hv;
+    let mut routes = Vec::new();
+    let sent0 = batched.net.as_ref().map(|n| n.seq);
+    for k in 1..=12u64 {
+        let t = SimTime::from_millis(6_000 + 100 * k);
+        batched.run_until(t);
+        reference.run_until_unbatched(t);
+        assert!(batched.detection().is_none(), "{:?}", batched.detection());
+        assert_eq!(
+            batched.steps_executed(),
+            reference.steps_executed(),
+            "steps at {t}"
+        );
+        assert_eq!(
+            batched.state_digest(),
+            reference.state_digest(),
+            "digest at {t}"
+        );
+        routes.push(batched.irqs.ioapic_route(VEC_NET));
+    }
+    for cpu in [3, 1] {
+        assert!(
+            routes.contains(&Some(CpuId(cpu))),
+            "net vector never routed to cpu{cpu}: {routes:?}"
+        );
+    }
+    assert_eq!(routes.last(), Some(&Some(CpuId(2))));
+    assert_ne!(
+        batched.net.as_ref().map(|n| n.seq),
+        sent0,
+        "packets were generated in the window"
+    );
+    assert!(
+        batched.checked_steps() < reference.checked_steps(),
+        "the batched side must actually have skipped checks"
+    );
 }

@@ -224,19 +224,24 @@ pub struct Hypervisor {
     stacks: Vec<Vec<Frame>>,
     detection: Option<Detection>,
     steps: u64,
+    /// Steps that ran the per-step entry checks (host-side statistic, not
+    /// simulated state: never part of the digest).
+    checked_steps: u64,
     /// Per-CPU free lists of micro-op buffers (see [`ProgramPool`]).
     pools: Vec<ProgramPool>,
     /// Reusable scratch for `build_timer_interrupt`'s due-event inspection.
     timer_scratch: Vec<TimerEvent>,
     /// Free lists recycling request-binding storage (the page lists a
     /// hypercall fixes at entry and drops at commit), plus the candidate
-    /// and shuffle scratch `bind_simple` needs. Like the program pools,
+    /// and shuffle scratch and unpinned-page marks `bind_simple` needs
+    /// (the marks sized to the page table at boot). Like the program pools,
     /// this is host-side memory reuse only — bindings are bit-identical
     /// with recycling on or off, since `pick_n_into` draws the same RNG
     /// sequence regardless of where the output lands.
     binding_pool: Vec<Vec<PageNum>>,
     binding_set_pool: Vec<Vec<Vec<PageNum>>>,
     page_scratch: Vec<PageNum>,
+    page_marks: crate::mem::PageMarks,
     idx_scratch: Vec<usize>,
     // Cached pick for `step_any`: while `next_valid` holds, `next_cpu` is
     // the argmin of `cpu_now` provided its clock is still below
@@ -251,15 +256,18 @@ pub struct Hypervisor {
     next_bound: SimTime,
     next_bound_cpu: u32,
     next_valid: bool,
+    // Per-CPU check horizons of the batched steppers (see
+    // `refresh_horizons`); host-side, never part of the digest.
+    horizons: Vec<SimTime>,
     // Set by `MicroOp::IoapicWrite` so the batched steppers recompute
-    // their hoisted check horizon: re-routing a device vector can make an
+    // their hoisted check horizons: re-routing a device vector can make an
     // already-due packet time relevant on the newly routed CPU. Every
     // other in-dispatch mutation moves check deadlines forward (watchdog
-    // periods, `net.next`) or parks a CPU (which only *raises* the
+    // periods, `net.next`) or parks a CPU (which only *raises* its
     // horizon), and cross-call mutations (recovery, `resume_after`,
     // direct subsystem pokes) are covered by the recompute on
     // batched-loop entry. Local APIC one-shots are *not* folded into the
-    // horizon — `step_run` polls `take_fire` on every dispatch — so
+    // horizons — `step_run` polls `take_fire` on every dispatch — so
     // `MicroOp::ProgramApic` does not touch this flag.
     horizon_dirty: bool,
     // Memoized cycle->nanosecond conversions for the dispatch hot path
@@ -370,16 +378,19 @@ impl Hypervisor {
             stacks: vec![Vec::new(); n],
             detection: None,
             steps: 0,
+            checked_steps: 0,
             pools: vec![ProgramPool::new(); n],
             timer_scratch: Vec::new(),
             binding_pool: Vec::new(),
             binding_set_pool: Vec::new(),
             page_scratch: Vec::new(),
+            page_marks: crate::mem::PageMarks::new(config.num_pages()),
             idx_scratch: Vec::new(),
             next_cpu: 0,
             next_bound: SimTime::ZERO,
             next_bound_cpu: 0,
             next_valid: false,
+            horizons: vec![SimTime::ZERO; n],
             horizon_dirty: false,
             op_ns_cache: [[u64::MAX; 3]; 2],
             run_cost_cache: [u64::MAX; 6],
@@ -604,11 +615,13 @@ impl Hypervisor {
     /// memory, locks, scheduler, timers, interrupts, domains (including
     /// workload state), undo log, network state, detection — and excludes
     /// host-side bookkeeping that does not affect simulated behaviour
-    /// (the trace ring, program pools, the scheduler-pick cache), so a
+    /// (the trace ring, program pools, the scheduler-pick cache, check
+    /// horizons, binding scratch and page marks, step statistics), so a
     /// batched and an unbatched run of the same trial digest identically.
+    /// Only equality matters — digests are compared, never persisted.
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
-        let mut s = String::with_capacity(16 * 1024);
+        let mut s = String::with_capacity(32 * 1024);
         let (rs, ri) = self.rng.state_parts();
         let _ = write!(
             s,
@@ -636,8 +649,7 @@ impl Hypervisor {
         }
         let _ = write!(
             s,
-            "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
-            self.pft,
+            "{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}{:?}",
             self.heap,
             self.locks,
             self.percpu,
@@ -648,14 +660,32 @@ impl Hypervisor {
             self.accounting,
             self.undo_log,
             self.net,
-            self.net_replies,
             self.ioapic_log,
         );
-        let _ = write!(s, "cq={} scrub={:?}", self.create_queue.len(), self.scrub);
+        let _ = write!(s, "cq={}", self.create_queue.len());
         if !self.virtio.is_empty() {
             let _ = write!(s, " virtio={:?}", self.virtio);
         }
-        nlh_sim::digest::Fnv64::hash(s.as_bytes())
+        // The page-frame table, the scrub ledger (one entry per frame)
+        // and the NetBench reply log (one per packet) are most of the
+        // machine state by size; they hash field by field instead of
+        // through their `Debug` text.
+        let mut h = nlh_sim::digest::Fnv64::new();
+        h.write(s.as_bytes());
+        self.pft.digest_into(&mut h);
+        h.write_u64(self.net_replies.len() as u64);
+        for &(seq, at) in &self.net_replies {
+            h.write_u64(seq);
+            h.write_u64(at.as_nanos());
+        }
+        match &self.scrub {
+            Some(ledger) => {
+                h.write_u64(1);
+                ledger.digest_into(&mut h);
+            }
+            None => h.write_u64(0),
+        }
+        h.finish()
     }
 
     /// Total simulation steps executed on this machine (guest slices,
@@ -663,6 +693,15 @@ impl Hypervisor {
     /// time for its steps/sec throughput counter.
     pub fn steps_executed(&self) -> u64 {
         self.steps
+    }
+
+    /// How many of [`Self::steps_executed`] ran the fully checked
+    /// [`Hypervisor::step`] (watchdog NMI and net-traffic entry checks).
+    /// The unbatched reference checks every step; the batched loops check
+    /// only steps at or past the stepped CPU's check horizon. Host-side
+    /// bookkeeping: not simulated state, never part of the digest.
+    pub fn checked_steps(&self) -> u64 {
+        self.checked_steps
     }
 
     /// A coarse estimate of this machine's host-resident footprint in
@@ -888,91 +927,77 @@ impl Hypervisor {
         mut depth_left: u64,
     ) -> CountingWindow {
         let mut fired = None;
-        'outer: loop {
-            if self.detection.is_some() || fired.is_some() {
+        let mut hmin = self.refresh_horizons(deadline);
+        while self.detection.is_none() {
+            let cpu = self.pick_next_cpu();
+            let i = cpu.index();
+            let t = self.cpu_now[i];
+            if t >= deadline {
                 break;
             }
-            let mut horizon = self.check_horizon(deadline);
-            loop {
-                let cpu = self.pick_next_cpu();
-                let t = self.cpu_now[cpu.index()];
-                if t >= deadline {
-                    break 'outer;
-                }
-                let checked = t >= horizon;
-                if !checked {
-                    if left > 0 {
-                        let span = self.fused_hv_run(cpu, horizon, None, left);
-                        if span > 0 {
-                            // A step that raised a detection returned
-                            // `Frozen`, not `HvOp`: it consumes no budget,
-                            // exactly like the reference automaton.
-                            let counted = if self.detection.is_some() {
-                                span - 1
-                            } else {
-                                span
-                            };
-                            left -= counted;
-                            if self.detection.is_some() {
-                                break 'outer;
-                            }
-                            if self.horizon_dirty {
-                                self.horizon_dirty = false;
-                                horizon = self.check_horizon(deadline);
-                            }
-                            continue;
+            let horizon = self.horizons[i];
+            let checked = t >= horizon;
+            if !checked {
+                if left > 0 {
+                    let span = self.fused_hv_run(cpu, horizon, None, left);
+                    if span > 0 {
+                        // A step that raised a detection returned `Frozen`,
+                        // not `HvOp`: it consumes no budget, exactly like
+                        // the reference automaton.
+                        let counted = if self.detection.is_some() {
+                            span - 1
+                        } else {
+                            span
+                        };
+                        left -= counted;
+                        if self.horizon_dirty {
+                            hmin = self.refresh_horizons(deadline);
                         }
-                    }
-                    // Idle steps are not hypervisor micro-ops, so the
-                    // counting automaton ignores them: the idle window can
-                    // fast-forward without touching the budget.
-                    if self.fused_idle_window(cpu, horizon, None) > 0 {
                         continue;
                     }
                 }
-                let out = if checked {
-                    self.step(cpu)
-                } else {
-                    self.step_unchecked(cpu)
-                };
-                // The trigger automaton, advanced post-step exactly like
-                // `Injector::on_step` in the Counting phase.
-                if out == StepOutcome::HvOp {
-                    if left > 0 {
-                        left -= 1;
-                    } else if self.cpu_mid_program(cpu) {
-                        match only {
-                            None => {
-                                fired = Some(cpu);
-                            }
-                            Some(filter) => {
-                                let here = self
-                                    .cpu_program_context(cpu)
-                                    .map(|(cause, _)| cause.handler_kind());
-                                if here == Some(filter) {
-                                    if depth_left > 0 {
-                                        depth_left -= 1;
-                                    } else {
-                                        fired = Some(cpu);
-                                    }
+                // Idle steps are not hypervisor micro-ops, so the counting
+                // automaton ignores them: the idle window can fast-forward
+                // without touching the budget.
+                if self.fused_idle_window(cpu, hmin, None) > 0 {
+                    continue;
+                }
+            }
+            let out = if checked {
+                self.step(cpu)
+            } else {
+                self.step_unchecked(cpu)
+            };
+            // The trigger automaton, advanced post-step exactly like
+            // `Injector::on_step` in the Counting phase.
+            if out == StepOutcome::HvOp {
+                if left > 0 {
+                    left -= 1;
+                } else if self.cpu_mid_program(cpu) {
+                    match only {
+                        None => {
+                            fired = Some(cpu);
+                        }
+                        Some(filter) => {
+                            let here = self
+                                .cpu_program_context(cpu)
+                                .map(|(cause, _)| cause.handler_kind());
+                            if here == Some(filter) {
+                                if depth_left > 0 {
+                                    depth_left -= 1;
+                                } else {
+                                    fired = Some(cpu);
                                 }
                             }
                         }
                     }
                 }
-                if checked || fired.is_some() {
-                    // Recompute the horizon after a checked step, or leave
-                    // with the fire step as the last step taken.
-                    continue 'outer;
-                }
-                if self.detection.is_some() {
-                    break 'outer;
-                }
-                if self.horizon_dirty {
-                    self.horizon_dirty = false;
-                    horizon = self.check_horizon(deadline);
-                }
             }
+            if fired.is_some() {
+                // Leave with the fire step as the last step taken.
+                break;
+            }
+            hmin = self.after_step_horizons(i, checked, hmin, deadline);
         }
         CountingWindow {
             left,
@@ -983,106 +1008,129 @@ impl Hypervisor {
 
     /// The batched stepping engine behind `run_until`/`run_until_marker`.
     ///
-    /// Each outer iteration computes a *horizon*: the earliest instant at
-    /// which any per-step entry check could have an effect — the smallest
-    /// watchdog `next_check` over non-parked CPUs, the next external net
-    /// packet time (when a net route exists), capped at `deadline`. While
-    /// the next CPU's clock is below the horizon, steps run through
-    /// [`Hypervisor::step_unchecked`], skipping the check comparisons the
-    /// reference loop would have evaluated to no-ops. Once the horizon is
-    /// reached, one fully checked [`Hypervisor::step`] runs (firing any due
-    /// checks and pushing their deadlines forward) and the horizon is
-    /// recomputed.
+    /// The per-step entry checks are hoisted into per-CPU *check
+    /// horizons* (see [`Self::refresh_horizons`]): the earliest instant at
+    /// which the stepped CPU's own checks — its watchdog NMI comparison,
+    /// and external net-packet generation when the net vector is routed
+    /// to it — could have an effect. While the picked CPU's clock is below
+    /// its own horizon, its steps run through
+    /// [`Hypervisor::step_unchecked`] (or fuse), skipping comparisons the
+    /// reference loop would have evaluated to no-ops. Once it reaches its
+    /// horizon, one fully checked [`Hypervisor::step`] runs on it (firing
+    /// the due check and pushing its deadline forward) and that CPU's
+    /// horizon is recomputed; the other CPUs keep stepping unchecked.
     fn run_batched(
         &mut self,
         deadline: SimTime,
         marker: Option<SimTime>,
     ) -> Option<(CpuId, StepOutcome)> {
-        loop {
-            if self.detection.is_some() {
+        // The horizons are hoisted out of the loop: they only move *down*
+        // when an I/O APIC route is rewritten mid-program
+        // (`horizon_dirty`); everything else that happens in
+        // `dispatch_step` leaves them valid or raises them (stale-low is
+        // merely a wasted checked step, never a missed check).
+        let mut hmin = self.refresh_horizons(deadline);
+        while self.detection.is_none() {
+            let cpu = self.pick_next_cpu();
+            let i = cpu.index();
+            let t = self.cpu_now[i];
+            if t >= deadline {
                 return None;
             }
-            // The horizon is hoisted out of the unchecked inner loop: it
-            // only moves *down* when an I/O APIC route is rewritten
-            // mid-program (`horizon_dirty`); everything else that happens
-            // in `dispatch_step` leaves it valid or raises it (stale-low
-            // is merely a wasted checked step, never a missed check).
-            let mut horizon = self.check_horizon(deadline);
-            let cpu = loop {
-                let cpu = self.pick_next_cpu();
-                let t = self.cpu_now[cpu.index()];
-                if t >= deadline {
-                    return None;
-                }
-                if t >= horizon {
-                    break cpu;
-                }
+            let checked = t >= self.horizons[i];
+            if !checked {
                 // Superop fast path: execute a fused run of micro-ops in
                 // one dispatch when provably equivalent to stepping them
                 // one by one (see `fused_hv_run`). The run is bounded
                 // below the marker, so it can never be the marker-crossing
                 // step; it breaks on detection and on a dirtied horizon,
                 // handled here exactly as after a single unchecked step.
-                if self.fused_hv_run(cpu, horizon, marker, u64::MAX) > 0 {
-                    if self.detection.is_some() {
-                        return None;
-                    }
+                if self.fused_hv_run(cpu, self.horizons[i], marker, u64::MAX) > 0 {
                     if self.horizon_dirty {
-                        self.horizon_dirty = false;
-                        horizon = self.check_horizon(deadline);
+                        hmin = self.refresh_horizons(deadline);
                     }
                     continue;
                 }
-                // Idle fast path: when everything below the horizon is
-                // provably idle, fast-forward the whole window at once.
-                if self.fused_idle_window(cpu, horizon, marker) > 0 {
+                // Idle fast path: when everything below every CPU's
+                // horizon is provably idle, fast-forward the whole window
+                // at once.
+                if self.fused_idle_window(cpu, hmin, marker) > 0 {
                     continue;
                 }
-                let out = self.step_unchecked(cpu);
-                if let Some(m) = marker {
-                    if self.cpu_now[cpu.index()] >= m {
-                        return Some((cpu, out));
-                    }
-                }
-                if self.detection.is_some() {
-                    return None;
-                }
-                if self.horizon_dirty {
-                    self.horizon_dirty = false;
-                    horizon = self.check_horizon(deadline);
-                }
+            }
+            // A check deadline has arrived on this CPU (checked), or no
+            // fast path applied (unchecked): take one single step.
+            let out = if checked {
+                self.step(cpu)
+            } else {
+                self.step_unchecked(cpu)
             };
-            // A check deadline has arrived on the next CPU: take one fully
-            // checked step so the check fires (and its deadline advances),
-            // then recompute the horizon.
-            let out = self.step(cpu);
             if let Some(m) = marker {
-                if self.cpu_now[cpu.index()] >= m {
+                if self.cpu_now[i] >= m {
                     return Some((cpu, out));
                 }
             }
+            hmin = self.after_step_horizons(i, checked, hmin, deadline);
         }
+        None
     }
 
-    /// The earliest time at which a hoisted per-step check could matter.
-    fn check_horizon(&self, deadline: SimTime) -> SimTime {
-        let mut horizon = deadline;
-        for (i, pc) in self.percpu.iter().enumerate() {
-            // Parked CPUs are exempt from the watchdog NMI (exactly the
-            // per-step check's own mode test).
-            if self.cpu_mode[i] == CpuMode::Parked {
-                continue;
-            }
-            if pc.watchdog.next_check < horizon {
-                horizon = pc.watchdog.next_check;
-            }
+    /// Recomputes every CPU's check horizon, clears `horizon_dirty`, and
+    /// returns the minimum over all CPUs.
+    ///
+    /// `horizons[i]` is the earliest time at which CPU `i`'s own per-step
+    /// entry checks could have an effect: its watchdog `next_check`
+    /// (unless parked — exactly the per-step check's own mode test) and,
+    /// only on the CPU the net vector is routed to, the next external
+    /// packet time — capped at `deadline`. `step` checks nothing but the
+    /// stepped CPU's watchdog and generates net traffic only on the routed
+    /// CPU, so a CPU below its own horizon steps exactly as checked, no
+    /// matter how far past theirs the other CPUs are. The minimum bounds
+    /// windows that advance several CPUs at once (the idle fast-forward).
+    fn refresh_horizons(&mut self, deadline: SimTime) -> SimTime {
+        self.horizon_dirty = false;
+        let mut hmin = deadline;
+        for i in 0..self.horizons.len() {
+            self.horizons[i] = self.cpu_horizon(i, deadline);
+            hmin = hmin.min(self.horizons[i]);
+        }
+        hmin
+    }
+
+    /// CPU `i`'s check horizon (see [`Self::refresh_horizons`]).
+    fn cpu_horizon(&self, i: usize, deadline: SimTime) -> SimTime {
+        let mut h = deadline;
+        if self.cpu_mode[i] != CpuMode::Parked {
+            h = h.min(self.percpu[i].watchdog.next_check);
         }
         if let Some(net) = &self.net {
-            if self.irqs.ioapic_route(VEC_NET).is_some() && net.next < horizon {
-                horizon = net.next;
+            if self.irqs.ioapic_route(VEC_NET) == Some(CpuId::from_index(i)) {
+                h = h.min(net.next);
             }
         }
-        horizon
+        h
+    }
+
+    /// Horizon upkeep after a single step of CPU `i`, returning the new
+    /// minimum. A dirtied horizon (an I/O APIC route rewrite) recomputes
+    /// every CPU; a checked step moved only CPU `i`'s own deadlines (its
+    /// watchdog, and the packet time if the net vector is routed to it),
+    /// so only its horizon is recomputed; an unchecked step changes none.
+    fn after_step_horizons(
+        &mut self,
+        i: usize,
+        checked: bool,
+        hmin: SimTime,
+        deadline: SimTime,
+    ) -> SimTime {
+        if self.horizon_dirty {
+            return self.refresh_horizons(deadline);
+        }
+        if !checked {
+            return hmin;
+        }
+        self.horizons[i] = self.cpu_horizon(i, deadline);
+        self.horizons.iter().copied().fold(deadline, SimTime::min)
     }
 
     /// The superop dispatcher's per-op clock costs, memoized on the
@@ -1145,9 +1193,10 @@ impl Hypervisor {
     /// The loop is clipped so that fusing is *provably* invisible next to
     /// the reference one-op-at-a-time execution:
     ///
-    /// * every fused step's *start* time stays below `horizon`, where the
-    ///   per-step entry checks are no-ops (Hv-mode dispatches never poll
-    ///   the local APIC, so the one-shot needs no bound here);
+    /// * every fused step's *start* time stays below `horizon` — `cpu`'s
+    ///   own check horizon — where its per-step entry checks are no-ops
+    ///   (Hv-mode dispatches never poll the local APIC, so the one-shot
+    ///   needs no bound here);
     /// * every fused step's start stays within the cached next-CPU pick's
     ///   validity bound (including `min_by_key`'s first-index tie rule),
     ///   so cross-CPU interleaving — and the cache fields themselves —
@@ -1294,9 +1343,11 @@ impl Hypervisor {
     ///   (the firing step itself runs singly, and the skipped per-step
     ///   `take_fire` polls below the cap are provably false;
     ///   Parked/Wedged dispatches never poll);
-    /// * the hoisted `horizon` (where the watchdog and net-traffic entry
-    ///   checks are no-ops) and, with a `marker`, the marker (post-step
-    ///   times stay below it, so the crossing step runs normally).
+    /// * `horizon`, the minimum of every CPU's check horizon (below it
+    ///   no CPU's watchdog or net-traffic entry check can fire — the
+    ///   window moves several CPUs, so one CPU's own horizon is not
+    ///   enough) and, with a `marker`, the marker (post-step times stay
+    ///   below it, so the crossing step runs normally).
     ///
     /// A sleeping idle CPU additionally fuses full quanta only, leaving
     /// the step that would clip to its deadline (`advance_to`) for the
@@ -1323,6 +1374,11 @@ impl Hypervisor {
         }
         let h = horizon.as_nanos();
         let f = first.index().min(n);
+        // The picked CPU holds the minimum clock: at or past the horizon
+        // (the minimum over all CPUs' horizons), nothing can fuse.
+        if self.cpu_now[f].as_nanos() >= h {
+            return 0;
+        }
 
         // Fast veto: the picked CPU is an idle sleeper about to clip to
         // its own one-shot (`advance_to` lands on the deadline, not a
@@ -1502,6 +1558,7 @@ impl Hypervisor {
             return StepOutcome::Frozen;
         }
         self.steps += 1;
+        self.checked_steps += 1;
         let i = cpu.index();
         let now = self.cpu_now[i];
 
@@ -1525,10 +1582,11 @@ impl Hypervisor {
         self.dispatch_step(cpu)
     }
 
-    /// A step with the entry checks elided. Only `run_batched` calls this,
-    /// and only when the stepped CPU's clock is below [`Self::check_horizon`]
-    /// — i.e. when the watchdog comparison and the net-traffic generator
-    /// are provably no-ops — and when no detection is pending.
+    /// A step with the entry checks elided. Only the batched loops call
+    /// this, and only when the stepped CPU's clock is below its own check
+    /// horizon ([`Self::refresh_horizons`]) — i.e. when the watchdog
+    /// comparison and the net-traffic generator are provably no-ops — and
+    /// when no detection is pending.
     fn step_unchecked(&mut self, cpu: CpuId) -> StepOutcome {
         self.steps += 1;
         self.dispatch_step(cpu)
@@ -1840,33 +1898,24 @@ impl Hypervisor {
             domains,
             rng,
             page_scratch,
+            page_marks,
             idx_scratch,
             ..
         } = self;
         let d = &domains[dom.index()];
+        // The owned pages that are not pinned, in owned order — the
+        // candidate list pin, balloon and block requests draw from.
+        let mut unpinned = |scratch: &mut Vec<PageNum>| {
+            scratch.clear();
+            page_marks.extend_excluding(&d.owned_pages, &d.pinned_pages, scratch);
+        };
         match req {
-            HcRequest::PinPages(n) => {
-                page_scratch.clear();
-                page_scratch.extend(
-                    d.owned_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| !d.pinned_pages.contains(p)),
-                );
+            HcRequest::PinPages(n) | HcRequest::MemoryDecrease(n) => {
+                unpinned(page_scratch);
                 pick_n_into(rng, page_scratch, *n, idx_scratch, &mut out);
             }
             HcRequest::UnpinPages(n) => {
                 pick_n_into(rng, &d.pinned_pages, *n, idx_scratch, &mut out)
-            }
-            HcRequest::MemoryDecrease(n) => {
-                page_scratch.clear();
-                page_scratch.extend(
-                    d.owned_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| !d.pinned_pages.contains(p)),
-                );
-                pick_n_into(rng, page_scratch, *n, idx_scratch, &mut out);
             }
             HcRequest::GrantMap { from } => {
                 let granter = &domains[from.index()];
@@ -1875,13 +1924,7 @@ impl Hypervisor {
             HcRequest::BlockIo { .. } => {
                 // A blkfront request carries up to 11 data segments, each
                 // of which is granted to the driver domain.
-                page_scratch.clear();
-                page_scratch.extend(
-                    d.owned_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| !d.pinned_pages.contains(p)),
-                );
+                unpinned(page_scratch);
                 pick_n_into(rng, page_scratch, 11, idx_scratch, &mut out);
             }
             _ => {}
@@ -3042,6 +3085,14 @@ impl Hypervisor {
         match req {
             HcRequest::PinPages(_) => {
                 let d = &mut self.domains[dom_id.index()];
+                // Pins are drawn from the owned pages: reserving room for
+                // all of them once keeps the list from reallocating as it
+                // drifts with the workload. Capacity is host-side only, and
+                // a cloned domain (boot-cache checkout) starts without it.
+                let owned = d.owned_pages.len();
+                if d.pinned_pages.capacity() < owned {
+                    d.pinned_pages.reserve(owned - d.pinned_pages.len());
+                }
                 for p in binding {
                     if !d.pinned_pages.contains(p) {
                         d.pinned_pages.push(*p);
@@ -3358,6 +3409,48 @@ mod tests {
         for cpu in 0..hv.num_cpus() {
             assert_eq!(hv.percpu[cpu].local_irq_count, 0);
         }
+    }
+
+    #[test]
+    fn digest_covers_the_field_hashed_state() {
+        // The page-frame table, scrub ledger and reply log bypass the
+        // `Debug` text; each must still move the digest (frame-by-frame
+        // coverage is pinned in `mem::tests`).
+        let mut hv = small_hv();
+        hv.add_boot_domain(app_spec(1));
+        hv.run_boot_scrub();
+        hv.run_for(SimDuration::from_millis(20));
+        let base = hv.state_digest();
+        assert_eq!(hv.clone().state_digest(), base, "a clone digests alike");
+
+        let mut m = hv.clone();
+        let p = m.domains[0].owned_pages[3];
+        m.pft.get_mut(p).unwrap().validated ^= true;
+        assert_ne!(m.state_digest(), base, "one frame's validation bit");
+
+        let mut m = hv.clone();
+        m.scrub = None;
+        assert_ne!(m.state_digest(), base, "scrub ledger present vs absent");
+        let mut m = hv.clone();
+        m.run_boot_scrub();
+        assert_eq!(m.state_digest(), base, "an identical re-scrub");
+
+        let mut m = hv.clone();
+        m.net_replies.push((1, SimTime::from_micros(5)));
+        let one = m.state_digest();
+        assert_ne!(one, base, "a reply logged");
+        m.net_replies[0].1 = SimTime::from_micros(6);
+        assert_ne!(m.state_digest(), one, "a reply's time");
+        m.net_replies[0] = (2, SimTime::from_micros(5));
+        assert_ne!(m.state_digest(), one, "a reply's sequence number");
+
+        // Host-side bookkeeping stays out: a batched and an unbatched run
+        // to the same instant digest alike.
+        let mut a = hv.clone();
+        let mut b = hv.clone();
+        a.run_until(SimTime::from_millis(60));
+        b.run_until_unbatched(SimTime::from_millis(60));
+        assert_eq!(a.state_digest(), b.state_digest());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! paper's foil — is slow. Cold-booting a target system pays this walk;
 //! the campaign boot cache exists to pay it once per configuration.
 
+use nlh_sim::digest::Fnv64;
 use nlh_sim::{DomId, LockId, PageNum};
 use serde::{Deserialize, Serialize};
 
@@ -266,6 +267,94 @@ impl PageFrameTable {
             .enumerate()
             .map(|(i, p)| (PageNum::from_index(i), p))
     }
+
+    /// Feeds every descriptor field and the free list into `h`, for
+    /// [`crate::Hypervisor::state_digest`]. The encoding is injective
+    /// (fixed frame count; each frame one word of use count, validation
+    /// bit, state and owner presence, plus the owner id when present;
+    /// the free list length-prefixed), so two tables digest alike exactly
+    /// when their `Debug` renderings would — without formatting them.
+    pub(crate) fn digest_into(&self, h: &mut Fnv64) {
+        h.write_u64(self.frames.len() as u64);
+        for f in &self.frames {
+            let state = match f.state {
+                PageState::Free => 0u64,
+                PageState::HeapAllocated => 1,
+                PageState::DomainOwned => 2,
+            };
+            h.write_u64(
+                u64::from(f.use_count)
+                    | u64::from(f.validated) << 32
+                    | state << 33
+                    | u64::from(f.owner.is_some()) << 35,
+            );
+            if let Some(d) = f.owner {
+                h.write(&d.0.to_le_bytes());
+            }
+        }
+        h.write_u64(self.free.len() as u64);
+        for p in &self.free {
+            h.write(&p.0.to_le_bytes());
+        }
+    }
+}
+
+/// A host-side bitset over page-frame numbers, sized to the page table.
+///
+/// Hypercall binding filters a domain's owned pages against its pinned
+/// list; with a plain `contains` that costs O(owned × pinned) per request,
+/// and the pinned list grows with simulated time. Marking the excluded
+/// pages first makes it one linear pass. The set is empty between calls,
+/// so it carries no simulated state (and is not part of the digest).
+#[derive(Debug, Clone)]
+pub struct PageMarks {
+    words: Vec<u64>,
+}
+
+impl PageMarks {
+    /// An empty set covering pages `0..num_pages`.
+    pub fn new(num_pages: usize) -> Self {
+        PageMarks {
+            words: vec![0; num_pages.div_ceil(64)],
+        }
+    }
+
+    /// Appends to `out`, in `pages` order, every page that `exclude` does
+    /// not contain — element for element the list
+    /// `pages.iter().copied().filter(|p| !exclude.contains(p))` — in
+    /// O(pages + exclude). Page numbers beyond the set's range fall back
+    /// to that linear `contains`, so the answer holds for any page number.
+    pub fn extend_excluding(
+        &mut self,
+        pages: &[PageNum],
+        exclude: &[PageNum],
+        out: &mut Vec<PageNum>,
+    ) {
+        let bits = self.words.len() * 64;
+        for p in exclude {
+            let i = p.index();
+            if i < bits {
+                self.words[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let words = &self.words;
+        out.extend(pages.iter().copied().filter(|p| {
+            let i = p.index();
+            if i < bits {
+                words[i / 64] & (1 << (i % 64)) == 0
+            } else {
+                !exclude.contains(p)
+            }
+        }));
+        // Every set bit came from `exclude`, so zeroing whole words
+        // restores the empty set.
+        for p in exclude {
+            let i = p.index();
+            if i < bits {
+                self.words[i / 64] = 0;
+            }
+        }
+    }
 }
 
 /// Bytes per simulated page frame.
@@ -298,6 +387,16 @@ impl ScrubLedger {
     /// The scrub checksum recorded for `page`.
     pub fn checksum(&self, page: PageNum) -> Option<u64> {
         self.checksums.get(page.index()).copied()
+    }
+
+    /// Feeds the per-frame checksums (length-prefixed) into `h`, for
+    /// [`crate::Hypervisor::state_digest`] — the same content as their
+    /// `Debug` rendering, without formatting one decimal number per frame.
+    pub(crate) fn digest_into(&self, h: &mut Fnv64) {
+        h.write_u64(self.checksums.len() as u64);
+        for &c in &self.checksums {
+            h.write_u64(c);
+        }
     }
 
     /// A digest over all per-frame checksums.
@@ -506,6 +605,77 @@ mod tests {
 
     fn table() -> PageFrameTable {
         PageFrameTable::new(64)
+    }
+
+    fn digest(t: &PageFrameTable) -> u64 {
+        let mut h = Fnv64::new();
+        t.digest_into(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn digest_sees_every_frame_field_and_the_free_list() {
+        let mut t = table();
+        for k in 0..24u32 {
+            let p = t.alloc(Some(DomId(k % 3)), PageState::DomainOwned).unwrap();
+            if k % 2 == 0 {
+                t.inc_ref(p).unwrap();
+                t.set_validated(p, true).unwrap();
+            }
+        }
+        t.alloc(None, PageState::HeapAllocated).unwrap();
+        let base = digest(&t);
+        assert_eq!(digest(&t.clone()), base, "equal tables digest alike");
+
+        for i in 0..t.len() {
+            let p = PageNum::from_index(i);
+            let f = *t.get(p).unwrap();
+            let other_state = match f.state {
+                PageState::Free => PageState::DomainOwned,
+                _ => PageState::Free,
+            };
+            let variants = [
+                PageFrameDescriptor {
+                    use_count: f.use_count + 1,
+                    ..f
+                },
+                PageFrameDescriptor {
+                    validated: !f.validated,
+                    ..f
+                },
+                PageFrameDescriptor {
+                    owner: match f.owner {
+                        Some(_) => None,
+                        None => Some(DomId(0)),
+                    },
+                    ..f
+                },
+                PageFrameDescriptor {
+                    owner: Some(DomId(f.owner.map_or(5, |d| d.0 + 1))),
+                    ..f
+                },
+                PageFrameDescriptor {
+                    state: other_state,
+                    ..f
+                },
+            ];
+            for v in variants {
+                let mut m = t.clone();
+                *m.get_mut(p).unwrap() = v;
+                assert_ne!(digest(&m), base, "frame {i}: {f:?} -> {v:?}");
+            }
+        }
+
+        // The free list: order, membership and length all count.
+        let mut m = t.clone();
+        m.free.swap(0, 1);
+        assert_ne!(digest(&m), base, "free-list order");
+        let mut m = t.clone();
+        m.free.pop();
+        assert_ne!(digest(&m), base, "free-list length");
+        let mut m = t.clone();
+        m.free[0] = PageNum(63 - m.free[0].0);
+        assert_ne!(digest(&m), base, "free-list entry");
     }
 
     #[test]

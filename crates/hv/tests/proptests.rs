@@ -1,7 +1,7 @@
 //! Property-based tests of the hypervisor substrate's core data structures.
 
 use nlh_hv::locks::{AcquireOutcome, LockPlacement, LockRegistry};
-use nlh_hv::mem::{PageFrameTable, PageState};
+use nlh_hv::mem::{PageFrameTable, PageMarks, PageState};
 use nlh_hv::sched::Scheduler;
 use nlh_hv::timers::{TimerEvent, TimerEventKind, TimerSubsystem};
 use nlh_sim::{CpuId, DomId, PageNum, SimDuration, SimTime, VcpuId};
@@ -193,5 +193,38 @@ proptest! {
         prop_assert!(s.check_all().is_ok());
         // Idempotent:
         prop_assert_eq!(s.make_consistent_from_percpu(), 0);
+    }
+
+    /// The unpinned-page filter hypercall binding uses is the naive
+    /// `contains` filter, element for element and in order — so the
+    /// candidate list, and with it every RNG draw that picks from it, is
+    /// unchanged. Small value ranges force duplicates on both sides and
+    /// excluded pages that are not in `pages`; lengths include empty
+    /// lists. The marks cover pages 0..64, so values from 64 up take the
+    /// out-of-range fallback, the top few as far out as `u32::MAX`. One
+    /// set of marks serves every case, as the hypervisor's does across
+    /// calls, so a mark left set would corrupt a later case.
+    #[test]
+    fn page_marks_filter_equals_contains_filter(
+        cases in prop::collection::vec(
+            (prop::collection::vec(0u32..100, 0..48), prop::collection::vec(0u32..100, 0..48)),
+            1..8,
+        ),
+    ) {
+        let page = |v: u32| PageNum(if v >= 96 { u32::MAX - (v - 96) } else { v });
+        let mut marks = PageMarks::new(64);
+        for (pages, exclude) in cases {
+            let pages: Vec<PageNum> = pages.into_iter().map(page).collect();
+            let exclude: Vec<PageNum> = exclude.into_iter().map(page).collect();
+            let naive: Vec<PageNum> = pages
+                .iter()
+                .copied()
+                .filter(|p| !exclude.contains(p))
+                .collect();
+            let mut out = vec![PageNum(7)];
+            marks.extend_excluding(&pages, &exclude, &mut out);
+            prop_assert_eq!(out[0], PageNum(7), "appends, never clears");
+            prop_assert_eq!(&out[1..], &naive[..]);
+        }
     }
 }
